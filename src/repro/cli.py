@@ -70,51 +70,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Orderer names accepted by ``order --algorithm``, ``simulate
-#: --orderer`` and ``serve --default-orderer``.  ``auto`` resolves per
-#: utility measure: ``anyk`` when the measure is fully monotonic
-#: (streamed ranked enumeration applies), ``pi`` otherwise.
-ORDERER_CHOICES = ("auto", "pi", "exhaustive", "idrips", "streamer",
-                   "greedy", "anyk")
-
-
-def _make_orderer(name: str, utility, **instrumentation):
-    from repro.ordering.anyk import AnyKOrderer
-    from repro.ordering.bruteforce import ExhaustiveOrderer, PIOrderer
-    from repro.ordering.greedy import GreedyOrderer
-    from repro.ordering.idrips import IDripsOrderer
-    from repro.ordering.streamer import StreamerOrderer
-
-    if name == "auto":
-        from repro.service.server import resolve_orderer_name
-
-        name = resolve_orderer_name(name, utility)
-    table = {
-        "pi": PIOrderer,
-        "exhaustive": ExhaustiveOrderer,
-        "idrips": IDripsOrderer,
-        "streamer": StreamerOrderer,
-        "greedy": GreedyOrderer,
-        "anyk": AnyKOrderer,
-    }
-    return table[name](utility, **instrumentation)
-
-
-def _make_measure(name: str, domain):
-    table = {
-        "coverage": lambda: domain.coverage(),
-        "linear": lambda: domain.linear_cost(),
-        "bind-join": lambda: domain.bind_join_cost(),
-        "failure": lambda: domain.failure_cost(),
-        "failure-caching": lambda: domain.failure_cost(caching=True),
-        "monetary": lambda: domain.monetary(),
-        "monetary-caching": lambda: domain.monetary(caching=True),
-    }
-    return table[name]()
-
-
 def _cmd_order(args: argparse.Namespace) -> int:
     from repro.observability import MetricRegistry, Tracer
+    from repro.ordering.registry import make_orderer
     from repro.workloads.synthetic import SyntheticParams, generate_domain
 
     domain = generate_domain(
@@ -125,10 +83,10 @@ def _cmd_order(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
     )
-    utility = _make_measure(args.measure, domain)
+    utility = domain.measure(args.measure)
     registry = MetricRegistry()
     tracer = Tracer(enabled=bool(args.trace or args.metrics_out))
-    orderer = _make_orderer(
+    orderer = make_orderer(
         args.algorithm, utility,
         cache=args.cache, registry=registry, tracer=tracer,
     )
@@ -159,6 +117,7 @@ def _cmd_order(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.execution.simulator import ExecutionSimulator
+    from repro.ordering.registry import make_orderer
     from repro.workloads.synthetic import SyntheticParams, generate_domain
 
     domain = generate_domain(
@@ -169,7 +128,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     )
     utility = domain.failure_cost()
-    orderer = _make_orderer(args.orderer, utility)
+    orderer = make_orderer(args.orderer, utility)
     ordered = [
         entry.plan for entry in orderer.order(domain.space, args.k)
     ]
@@ -214,6 +173,7 @@ def _simulate_adaptive(args: argparse.Namespace, domain, sim_seed: int):
     """
     from repro.execution.simulator import ExecutionSimulator, SimulationReport
     from repro.ordering.adaptive import AdaptiveOrderer
+    from repro.ordering.registry import make_orderer
     from repro.resilience.health import HealthEpoch, SourceHealthTracker
     from repro.resilience.measure import HealthAwareMeasure
 
@@ -224,7 +184,7 @@ def _simulate_adaptive(args: argparse.Namespace, domain, sim_seed: int):
     )
     orderer = AdaptiveOrderer(
         live,
-        inner_factory=lambda measure: _make_orderer(args.orderer, measure),
+        inner_factory=lambda measure: make_orderer(args.orderer, measure),
         epoch=epoch,
     )
     simulator = ExecutionSimulator(
@@ -827,21 +787,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return result.exit_code(fail_on)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
-    # Forwarded subcommands take their own option sets; hand the tail
-    # over verbatim (argparse.REMAINDER chokes on leading options).
-    if argv and argv[0] == "experiments":
-        from repro.experiments.figure6 import main as fig_main
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser (every subcommand but the forwarded ones)."""
+    from repro.ordering.registry import orderer_choices
+    from repro.workloads.synthetic import SYNTHETIC_MEASURES
 
-        return fig_main(argv[1:])
-    if argv and argv[0] == "report":
-        from repro.experiments.report import main as report_main
-
-        return report_main(argv[1:])
-
+    orderers = orderer_choices()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Plan ordering for data integration (Doan & Halevy, ICDE 2002)",
@@ -853,10 +804,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     order = sub.add_parser("order", help="order a synthetic domain's plans")
     order.add_argument("--algorithm", default="streamer",
-                       choices=ORDERER_CHOICES)
+                       choices=orderers)
     order.add_argument("--measure", default="coverage",
-                       choices=("coverage", "linear", "bind-join", "failure",
-                                "failure-caching", "monetary", "monetary-caching"))
+                       choices=tuple(SYNTHETIC_MEASURES))
     order.add_argument("--bucket-size", type=int, default=8)
     order.add_argument("--query-length", type=int, default=3)
     order.add_argument("--overlap", type=float, default=0.3)
@@ -880,7 +830,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     simulate.add_argument("--sim-seed", type=int, default=None,
                           help="simulator RNG seed (failures/delays); "
                                "defaults to --seed")
-    simulate.add_argument("--orderer", default="pi", choices=ORDERER_CHOICES,
+    simulate.add_argument("--orderer", default="pi", choices=orderers,
                           help="ordering algorithm for the executed plans")
     simulate.add_argument("-k", type=int, default=10)
     simulate.add_argument("--adaptive", action="store_true",
@@ -905,7 +855,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        help="run a sharded cluster instead: N worker "
                             "processes behind a consistent-hash router")
     serve.add_argument("--default-orderer", default="auto",
-                       choices=ORDERER_CHOICES,
+                       choices=orderers,
                        help="orderer for requests that do not name one "
                             "(auto: anyk for fully-monotonic measures, "
                             "pi otherwise)")
@@ -976,7 +926,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     cluster.add_argument("--deadline", type=float, default=None,
                          help="default per-request deadline in seconds")
     cluster.add_argument("--default-orderer", default="auto",
-                         choices=ORDERER_CHOICES,
+                         choices=orderers,
                          help="orderer for requests that do not name one")
     cluster.add_argument("--chaos", metavar="PROFILE", default=None,
                          help="inject a bundled chaos profile in every "
@@ -1107,7 +1057,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     dump.add_argument("--timeout", type=float, default=5.0,
                       help="HTTP timeout for --url (seconds)")
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    argv = list(argv)
+    # Forwarded subcommands take their own option sets; hand the tail
+    # over verbatim (argparse.REMAINDER chokes on leading options).
+    if argv and argv[0] == "experiments":
+        from repro.experiments.figure6 import main as fig_main
+
+        return fig_main(argv[1:])
+    if argv and argv[0] == "report":
+        from repro.experiments.report import main as report_main
+
+        return report_main(argv[1:])
+
+    args = build_parser().parse_args(argv)
     if args.command == "demo":
         return _cmd_demo(args)
     if args.command == "order":

@@ -14,26 +14,30 @@ Given a user query, the mediator
 Consumers can stop iterating as soon as they are satisfied — the
 "first answers fast" behaviour the paper optimizes for.
 
-:meth:`Mediator.answer` is the strictly sequential reference path:
-one thread does ordering, soundness, and execution in lockstep.  The
-:mod:`repro.service` layer overlaps those stages across threads while
-producing the identical batch stream; it builds on the helper methods
-exposed here (:meth:`reformulate`, :meth:`check_soundness`,
-:meth:`execution_database`, :meth:`record_batch`).
+:meth:`Mediator.answer` is the strictly sequential driver: one thread
+runs the per-plan kernel (:class:`~repro.execution.kernel.PlanKernel`:
+decide soundness, run the plan, fold its answers) in lockstep with the
+orderer.  :class:`~repro.service.session.PipelinedSession` is the
+pipelined driver of the same kernel: it runs the three steps on a
+producer thread, executor workers and the consuming thread.  Both
+drivers call the stage methods exposed here (:meth:`reformulate`,
+:meth:`check_soundness`, :meth:`record_batch`; the sequential driver
+also :meth:`execute_query`) through the instance, so a per-instance
+wrapper around one of them (a timing probe, a fault injector) sees
+every call.
 """
 
 from __future__ import annotations
 
 import types
-from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional
 
-from repro.errors import ExecutionError
 from repro.datalog.query import ConjunctiveQuery
 from repro.execution.engine import evaluate_conjunctive_query
+from repro.execution.kernel import AnswerBatch, PlanKernel
 from repro.observability.journal import EventJournal, NOOP_JOURNAL
 from repro.observability.metrics import MetricRegistry
-from repro.observability.tracing import NOOP_TRACER, Stopwatch, Tracer
+from repro.observability.tracing import NOOP_TRACER, Tracer
 from repro.ordering.adaptive import AdaptiveOrderer
 from repro.ordering.base import PlanOrderer
 from repro.ordering.bruteforce import PIOrderer
@@ -47,31 +51,6 @@ from repro.utility.base import UtilityMeasure
 
 #: Builds an orderer for a utility measure.
 OrdererFactory = Callable[[UtilityMeasure], PlanOrderer]
-
-
-@dataclass(frozen=True)
-class AnswerBatch:
-    """The outcome of processing one plan from the ordering.
-
-    The trailing defaulted flags are degradation accounting (see
-    :mod:`repro.resilience`): a *skipped* plan was never executed
-    because a circuit breaker blocked one of its sources; a *failed*
-    plan exhausted its retries and was gracefully dropped.  Both carry
-    empty answer sets.
-    """
-
-    rank: int
-    plan: QueryPlan
-    utility: float
-    sound: bool
-    answers: frozenset[tuple[object, ...]]
-    new_answers: frozenset[tuple[object, ...]]
-    skipped: bool = False
-    failed: bool = False
-
-    @property
-    def new_count(self) -> int:
-        return len(self.new_answers)
 
 
 class Mediator:
@@ -123,14 +102,11 @@ class Mediator:
         """
         return types.MappingProxyType(self.source_facts)
 
-    # Kept as the historical internal name.
-    _database = execution_database
-
     # -- pipeline stages ---------------------------------------------------------
     #
-    # ``answer`` composes these; the service layer's PipelinedSession
-    # runs them on separate threads.  Each stage is safe to call on
-    # its own.
+    # The per-plan kernel calls these through the instance, from
+    # whichever thread its driver runs a step on.  Each stage is safe
+    # to call on its own.
 
     def reformulate(self, query: ConjunctiveQuery) -> PlanSpace:
         """Build the bucket plan space for *query* (traced)."""
@@ -173,9 +149,14 @@ class Mediator:
         return space.size if max_plans is None else min(max_plans, space.size)
 
     def make_orderer(
-        self, utility: UtilityMeasure, *, adaptive: bool = False
+        self,
+        utility: UtilityMeasure,
+        *,
+        adaptive: bool = False,
+        factory: Optional[OrdererFactory] = None,
     ) -> PlanOrderer:
-        """An orderer from the configured factory, optionally adaptive.
+        """An orderer from *factory* (default: the configured one),
+        optionally adaptive.
 
         With ``adaptive`` (and a resilience manager to supply the
         health epoch), the factory's orderer is wrapped in an
@@ -184,11 +165,13 @@ class Mediator:
         mid-stream re-ordering.  Without resilience there is no health
         signal to adapt to, so the flag degrades to the plain factory.
         """
+        if factory is None:
+            factory = self.orderer_factory
         if not adaptive or self.resilience is None:
-            return self.orderer_factory(utility)
+            return factory(utility)
         return AdaptiveOrderer(
             utility,
-            inner_factory=self.orderer_factory,
+            inner_factory=factory,
             epoch=self.resilience.epoch,
             registry=self.registry,
         )
@@ -214,168 +197,18 @@ class Mediator:
         ``adaptive`` (ignored when *orderer* is supplied) asks
         :meth:`make_orderer` for a health-epoch-watching wrapper.
         """
-        journal = self.journal.bind(request_id)
-        # Hoisted once: the flag cannot change mid-run, and the loop
-        # below consults it per plan (BoundJournal.enabled is a
-        # property — a local bool keeps the disabled path near-free;
-        # ``repro profile`` gates this in CI).
-        journaling = journal.enabled
-        watch = Stopwatch().start()
+        kernel = PlanKernel(
+            self, query, self.journal, self.resilience, request_id=request_id
+        )
         space = self.reformulate(query)
         if orderer is None:
             orderer = self.make_orderer(utility, adaptive=adaptive)
-        bind = getattr(orderer, "bind_journal", None)
-        if bind is not None:
-            # Adaptive orderers journal their re-sorts; duck-typed so
-            # any caller-supplied orderer with the hook benefits too.
-            bind(journal)
-        adopted_tracer = False
-        if orderer.tracer is NOOP_TRACER and self.tracer.enabled:
-            # Let the ordering spans nest under the mediator's trace.
-            orderer.tracer = self.tracer
-            adopted_tracer = True
         budget = self.resolve_budget(space, max_plans)
-
-        soundness: dict[tuple[str, ...], bool] = {}
-
-        def on_emit(plan: QueryPlan) -> bool:
-            # The mediator loop below has always decided soundness for
-            # this plan before the orderer asks.
-            try:
-                return soundness[plan.key]
-            except KeyError:
-                raise ExecutionError(
-                    f"orderer asked about unprocessed plan {plan}"
-                ) from None
-
-        seen: set[tuple[object, ...]] = set()
-        resilience = self.resilience
-        try:
-            for ordered in orderer.order(space, budget, on_emit=on_emit):
-                executable = self.check_soundness(query, ordered.plan)
-                sound = executable is not None
-                soundness[ordered.plan.key] = sound
-                if journaling:
-                    journal.emit(
-                        "plan.emitted",
-                        rank=ordered.rank,
-                        plan=list(ordered.plan.key),
-                        utility=ordered.utility,
-                        sound=sound,
-                    )
-                if not sound:
-                    batch = AnswerBatch(
-                        ordered.rank,
-                        ordered.plan,
-                        ordered.utility,
-                        False,
-                        frozenset(),
-                        frozenset(),
-                    )
-                    self.record_batch(batch)
-                    if journaling:
-                        journal.emit("plan.unsound", rank=ordered.rank)
-                    yield batch
-                    continue
-                blocked = (
-                    resilience.admit(ordered.plan, request_id=request_id)
-                    if resilience is not None
-                    else ()
-                )
-                if blocked:
-                    # A breaker blocks one of the plan's sources: skip
-                    # without executing so the retry budget survives
-                    # for plans with a chance of answering.
-                    batch = AnswerBatch(
-                        ordered.rank,
-                        ordered.plan,
-                        ordered.utility,
-                        True,
-                        frozenset(),
-                        frozenset(),
-                        skipped=True,
-                    )
-                    self.record_batch(batch)
-                    if journaling:
-                        journal.emit(
-                            "plan.skipped",
-                            rank=ordered.rank,
-                            sources=list(blocked),
-                        )
-                    yield batch
-                    continue
-                sources = (
-                    ResilienceManager.sources_of(ordered.plan)
-                    if resilience is not None
-                    else ()
-                )
-                try:
-                    with Stopwatch() as exec_watch:
-                        answers = self.execute_query(executable)
-                except ExecutionError as exc:
-                    if resilience is None or not resilience.graceful:
-                        raise
-                    resilience.record_failure(
-                        sources, exc, request_id=request_id
-                    )
-                    batch = AnswerBatch(
-                        ordered.rank,
-                        ordered.plan,
-                        ordered.utility,
-                        True,
-                        frozenset(),
-                        frozenset(),
-                        failed=True,
-                    )
-                    self.record_batch(batch)
-                    if journaling:
-                        journal.emit(
-                            "plan.failed",
-                            rank=ordered.rank,
-                            error=type(exc).__name__,
-                        )
-                    yield batch
-                    continue
-                if resilience is not None:
-                    resilience.record_success(
-                        sources, exec_watch.elapsed, request_id=request_id
-                    )
-                new = frozenset(answers - seen)
-                first_answer = bool(new) and not seen
-                seen.update(answers)
-                batch = AnswerBatch(
-                    ordered.rank, ordered.plan, ordered.utility, True, answers, new
-                )
-                self.record_batch(batch)
-                if journaling:
-                    journal.emit(
-                        "plan.executed",
-                        rank=ordered.rank,
-                        answers=len(answers),
-                        new_answers=len(new),
-                        execute_s=exec_watch.elapsed,
-                    )
-                    if new:
-                        elapsed = watch.stop()
-                        if first_answer:
-                            journal.emit(
-                                "answer.first",
-                                rank=ordered.rank,
-                                elapsed_s=elapsed,
-                            )
-                        journal.emit(
-                            "answer.progress",
-                            rank=ordered.rank,
-                            answers=len(seen),
-                            elapsed_s=elapsed,
-                        )
-                yield batch
-        finally:
-            # Whether the iteration finished, broke early, or raised:
-            # an adopted tracer must not leak into the caller's orderer,
-            # so the orderer can be reused across mediators.
-            if adopted_tracer:
-                orderer.tracer = NOOP_TRACER
+        with kernel.adopt(orderer, self.tracer):
+            for ordered in orderer.order(space, budget, on_emit=kernel.on_emit):
+                outcome = kernel.decide(ordered)
+                kernel.run(outcome, self.execute_query)
+                yield kernel.fold(outcome)
 
     def answer_all(
         self,

@@ -19,15 +19,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.experiments.harness import AlgorithmSpec, PanelResult, PanelSpec, run_panel
-from repro.ordering.anyk import AnyKOrderer
-from repro.ordering.bruteforce import PIOrderer
-from repro.ordering.greedy import GreedyOrderer
-from repro.ordering.idrips import IDripsOrderer
-from repro.ordering.streamer import StreamerOrderer
-from repro.workloads.synthetic import SyntheticDomain
+from repro.ordering.registry import ORDERERS
 
 #: Bucket-size sweeps per mode.
 QUICK_SIZES = (4, 8, 12)
@@ -35,107 +30,58 @@ DEFAULT_SIZES = (4, 8, 12, 16)
 FULL_SIZES = (8, 16, 24, 32, 40)
 
 
-def _pi(measure: Callable[[SyntheticDomain], object]) -> AlgorithmSpec:
-    return AlgorithmSpec("PI", lambda d: PIOrderer(measure(d)))
+def _algo(label: str, orderer: str, measure: str, **options: object) -> AlgorithmSpec:
+    """*label*: the registry's *orderer* over the domain's *measure*."""
+    return AlgorithmSpec(
+        label, lambda d: ORDERERS[orderer](d.measure(measure), **options)
+    )
 
 
-def _idrips(measure: Callable[[SyntheticDomain], object]) -> AlgorithmSpec:
-    return AlgorithmSpec("iDrips", lambda d: IDripsOrderer(measure(d)))
-
-
-def _streamer(measure: Callable[[SyntheticDomain], object]) -> AlgorithmSpec:
-    return AlgorithmSpec("Streamer", lambda d: StreamerOrderer(measure(d)))
-
-
-def _anyk(measure: Callable[[SyntheticDomain], object]) -> AlgorithmSpec:
-    # Applicable to every measure: lattice mode when fully monotonic,
+def _paper_algorithms(measure: str, streamer: bool = True) -> tuple[AlgorithmSpec, ...]:
+    # AnyK applies to every measure: lattice mode when fully monotonic,
     # interval (region-refinement) mode otherwise.
-    return AlgorithmSpec("AnyK", lambda d: AnyKOrderer(measure(d)))
+    return (
+        _algo("PI", "pi", measure),
+        _algo("iDrips", "idrips", measure),
+        *((_algo("Streamer", "streamer", measure),) if streamer else ()),
+        _algo("AnyK", "anyk", measure),
+    )
 
 
-def _coverage(domain: SyntheticDomain) -> object:
-    return domain.coverage()
-
-
-def _failure_nocache(domain: SyntheticDomain) -> object:
-    return domain.failure_cost(caching=False)
-
-
-def _failure_cache(domain: SyntheticDomain) -> object:
-    return domain.failure_cost(caching=True)
-
-
-def _monetary_nocache(domain: SyntheticDomain) -> object:
-    return domain.monetary(caching=False)
-
-
-def _monetary_cache(domain: SyntheticDomain) -> object:
-    return domain.monetary(caching=True)
-
-
-def _named(name: str, spec: AlgorithmSpec) -> AlgorithmSpec:
-    return AlgorithmSpec(name, spec.build)
-
-
-def _panel(
-    panel_id: str,
-    title: str,
-    k: int,
-    algorithms: tuple[AlgorithmSpec, ...],
-) -> PanelSpec:
-    return PanelSpec(panel_id, title, k, algorithms)
+def _panels(
+    letters: str, title: str, algorithms: tuple[AlgorithmSpec, ...]
+) -> dict[str, PanelSpec]:
+    """One measure's three panels: the 1st, 10th and 100th plan."""
+    return {
+        letter: PanelSpec(f"6.{letter}", f"{title}, {nth} plan", k, algorithms)
+        for letter, nth, k in zip(letters, ("1st", "10th", "100th"), (1, 10, 100))
+    }
 
 
 #: Every Figure 6 panel, keyed a-l as in the paper.
 PANELS: dict[str, PanelSpec] = {
     # (a)-(c): plan coverage -- Streamer applicable (diminishing returns).
-    "a": _panel("6.a", "plan coverage, 1st plan", 1,
-                (_pi(_coverage), _idrips(_coverage), _streamer(_coverage),
-                 _anyk(_coverage))),
-    "b": _panel("6.b", "plan coverage, 10th plan", 10,
-                (_pi(_coverage), _idrips(_coverage), _streamer(_coverage),
-                 _anyk(_coverage))),
-    "c": _panel("6.c", "plan coverage, 100th plan", 100,
-                (_pi(_coverage), _idrips(_coverage), _streamer(_coverage),
-                 _anyk(_coverage))),
+    **_panels("abc", "plan coverage", _paper_algorithms("coverage")),
     # (d)-(f): cost with source failure, no caching -- full independence.
-    "d": _panel("6.d", "failure cost (no caching), 1st plan", 1,
-                (_pi(_failure_nocache), _idrips(_failure_nocache),
-                 _streamer(_failure_nocache), _anyk(_failure_nocache))),
-    "e": _panel("6.e", "failure cost (no caching), 10th plan", 10,
-                (_pi(_failure_nocache), _idrips(_failure_nocache),
-                 _streamer(_failure_nocache), _anyk(_failure_nocache))),
-    "f": _panel("6.f", "failure cost (no caching), 100th plan", 100,
-                (_pi(_failure_nocache), _idrips(_failure_nocache),
-                 _streamer(_failure_nocache), _anyk(_failure_nocache))),
+    **_panels("def", "failure cost (no caching)", _paper_algorithms("failure")),
     # (g)-(i): cost with failure + caching -- diminishing returns fails,
     # Streamer is not applicable (paper, Section 6); AnyK falls back to
     # its interval (region-refinement) mode and stays exact.
-    "g": _panel("6.g", "failure cost (caching), 1st plan", 1,
-                (_pi(_failure_cache), _idrips(_failure_cache),
-                 _anyk(_failure_cache))),
-    "h": _panel("6.h", "failure cost (caching), 10th plan", 10,
-                (_pi(_failure_cache), _idrips(_failure_cache),
-                 _anyk(_failure_cache))),
-    "i": _panel("6.i", "failure cost (caching), 100th plan", 100,
-                (_pi(_failure_cache), _idrips(_failure_cache),
-                 _anyk(_failure_cache))),
+    **_panels(
+        "ghi",
+        "failure cost (caching)",
+        _paper_algorithms("failure-caching", streamer=False),
+    ),
     # (j)-(l): average monetary cost per tuple, both caching options.
-    "j": _panel("6.j", "monetary cost/tuple, 1st plan", 1,
-                (_pi(_monetary_nocache), _idrips(_monetary_nocache),
-                 _streamer(_monetary_nocache), _anyk(_monetary_nocache),
-                 _named("PI+cache", _pi(_monetary_cache)),
-                 _named("iDrips+cache", _idrips(_monetary_cache)))),
-    "k": _panel("6.k", "monetary cost/tuple, 10th plan", 10,
-                (_pi(_monetary_nocache), _idrips(_monetary_nocache),
-                 _streamer(_monetary_nocache), _anyk(_monetary_nocache),
-                 _named("PI+cache", _pi(_monetary_cache)),
-                 _named("iDrips+cache", _idrips(_monetary_cache)))),
-    "l": _panel("6.l", "monetary cost/tuple, 100th plan", 100,
-                (_pi(_monetary_nocache), _idrips(_monetary_nocache),
-                 _streamer(_monetary_nocache), _anyk(_monetary_nocache),
-                 _named("PI+cache", _pi(_monetary_cache)),
-                 _named("iDrips+cache", _idrips(_monetary_cache)))),
+    **_panels(
+        "jkl",
+        "monetary cost/tuple",
+        _paper_algorithms("monetary")
+        + (
+            _algo("PI+cache", "pi", "monetary-caching"),
+            _algo("iDrips+cache", "idrips", "monetary-caching"),
+        ),
+    ),
 }
 
 
@@ -149,18 +95,15 @@ def breakdown_spec(k: int = 10, cache: bool = False) -> PanelSpec:
     can be compared head-to-head.  ``cache=True`` additionally opts every
     algorithm into :class:`~repro.observability.caching.CachingUtilityMeasure`.
     """
-
-    def _linear(domain: SyntheticDomain) -> object:
-        return domain.linear_cost()
-
-    algorithms = (
-        AlgorithmSpec("PI", lambda d: PIOrderer(_linear(d), cache=cache)),
-        AlgorithmSpec("iDrips", lambda d: IDripsOrderer(_linear(d), cache=cache)),
-        AlgorithmSpec(
-            "Streamer", lambda d: StreamerOrderer(_linear(d), cache=cache)
-        ),
-        AlgorithmSpec("Greedy", lambda d: GreedyOrderer(_linear(d), cache=cache)),
-        AlgorithmSpec("AnyK", lambda d: AnyKOrderer(_linear(d), cache=cache)),
+    algorithms = tuple(
+        _algo(label, orderer, "linear", cache=cache)
+        for label, orderer in (
+            ("PI", "pi"),
+            ("iDrips", "idrips"),
+            ("Streamer", "streamer"),
+            ("Greedy", "greedy"),
+            ("AnyK", "anyk"),
+        )
     )
     return PanelSpec(
         "breakdown",
@@ -174,7 +117,10 @@ def overlap_sweep_spec(
     overlap_rate: float, k: int = 20, algorithms: Optional[tuple[AlgorithmSpec, ...]] = None
 ) -> PanelSpec:
     """Section 6 in-text claim: Streamer degrades as overlap grows."""
-    algos = algorithms or (_pi(_coverage), _streamer(_coverage))
+    algos = algorithms or (
+        _algo("PI", "pi", "coverage"),
+        _algo("Streamer", "streamer", "coverage"),
+    )
     # Six groups per bucket give 15 group pairs, so the overlap rate
     # actually moves the number of overlapping source pairs; several
     # seeds average out the coin flips.
@@ -196,8 +142,7 @@ def query_length_spec(query_length: int, k: int = 10) -> PanelSpec:
         f"qlen-{query_length}",
         f"failure cost, query length {query_length}",
         k,
-        (_pi(_failure_nocache), _idrips(_failure_nocache),
-         _streamer(_failure_nocache)),
+        _paper_algorithms("failure")[:3],  # PI, iDrips, Streamer
         bucket_sizes=(8,),
         query_length=query_length,
     )

@@ -33,7 +33,8 @@ import tracemalloc
 from typing import Callable, Optional
 
 from repro.datalog.parser import parse_query
-from repro.execution.mediator import AnswerBatch, Mediator
+from repro.execution.kernel import AnswerBatch, PlanOutcome, SessionReport
+from repro.execution.mediator import Mediator
 from repro.resilience.chaos import ChaosBackend, ChaosProfile, FaultProfile
 from repro.resilience.manager import ResilienceManager
 from repro.observability.journal import EventJournal
@@ -788,16 +789,21 @@ def _drain_hooked(mediator: Mediator, query, utility) -> int:
 
 
 def _drain_control(mediator: Mediator, query, utility) -> int:
-    """``Mediator.answer``'s body with the journal hooks deleted.
+    """``Mediator.answer`` with the kernel inlined and its journal hooks
+    deleted.
 
-    This is the pre-instrumentation loop: same stages (reformulate,
-    order, soundness, execute, record), same per-plan allocations, no
-    ``journal.enabled`` checks.  Kept in lockstep with
-    ``Mediator.answer`` by the equivalence assertion in
-    ``run_profile`` (both drains must produce identical batch counts
-    and answers).
+    The same stages as the kernel's ``decide``, ``run`` and ``fold``
+    (soundness, admission, execution, health recording, new answers,
+    counters, report), the same per-plan allocations (an outcome and a
+    batch), no ``journaling`` checks.  The retry loop is elided: this
+    workload never fails an attempt.  Kept in lockstep with
+    :class:`~repro.execution.kernel.PlanKernel` by the equivalence
+    assertion in ``run_profile`` (both drains must produce identical
+    batch counts).
     """
     orderer = GreedyOrderer(utility)
+    report = SessionReport()
+    watch = Stopwatch().start()
     space = mediator.reformulate(query)
     soundness: dict[tuple[str, ...], bool] = {}
 
@@ -808,45 +814,47 @@ def _drain_control(mediator: Mediator, query, utility) -> int:
     resilience = mediator.resilience
     count = 0
     for ordered in orderer.order(space, space.size, on_emit=on_emit):
+        # decide
         executable = mediator.check_soundness(query, ordered.plan)
-        sound = executable is not None
-        soundness[ordered.plan.key] = sound
-        if not sound:
-            batch = AnswerBatch(
-                ordered.rank, ordered.plan, ordered.utility,
-                False, frozenset(), frozenset(),
-            )
-            mediator.record_batch(batch)
-            count += 1
-            continue
-        # The resilience conditionals predate the journal and stay in
-        # the control loop; only the journal hooks are deleted.
-        blocked = (
-            resilience.admit(ordered.plan) if resilience is not None else ()
-        )
-        if blocked:
-            batch = AnswerBatch(
-                ordered.rank, ordered.plan, ordered.utility,
-                True, frozenset(), frozenset(), skipped=True,
-            )
-            mediator.record_batch(batch)
-            count += 1
-            continue
-        sources = (
-            ResilienceManager.sources_of(ordered.plan)
-            if resilience is not None
-            else ()
-        )
-        with Stopwatch() as exec_watch:
-            answers = mediator.execute_query(executable)
-        if resilience is not None:
-            resilience.record_success(sources, exec_watch.elapsed)
+        soundness[ordered.plan.key] = executable is not None
+        outcome = PlanOutcome(ordered, executable)
+        # run
+        if executable is not None:
+            sources: tuple[str, ...] = ()
+            if resilience is not None:
+                outcome.skipped_sources = resilience.admit(ordered.plan)
+                sources = ResilienceManager.sources_of(ordered.plan)
+            if not outcome.skipped_sources:
+                with Stopwatch() as exec_watch:
+                    outcome.answers = mediator.execute_query(executable)
+                outcome.execute_s += exec_watch.elapsed
+                if resilience is not None:
+                    resilience.record_success(sources, exec_watch.elapsed)
+        # fold
+        report.retries += outcome.retries
+        answers = outcome.answers
         new = frozenset(answers - seen)
         seen.update(answers)
+        skipped = bool(outcome.skipped_sources)
         batch = AnswerBatch(
-            ordered.rank, ordered.plan, ordered.utility, True, answers, new
+            ordered.rank, ordered.plan, ordered.utility,
+            executable is not None, answers, new, skipped=skipped,
         )
-        mediator.record_batch(batch)
+        with mediator.registry.lock:
+            mediator.record_batch(batch)
+        report.plans_processed += 1
+        if skipped:
+            report.plans_skipped += 1
+            report.answers_partial = True
+        elif batch.sound:
+            report.sound_plans += 1
+        else:
+            report.unsound_plans += 1
+        report.answers = len(seen)
+        if new:
+            elapsed = watch.stop()
+            if report.first_answer_s is None:
+                report.first_answer_s = elapsed
         count += 1
     return count
 

@@ -49,12 +49,12 @@ from repro.observability.journal import EventJournal, NOOP_JOURNAL
 from repro.observability.metrics import MetricRegistry
 from repro.observability.prometheus import render_registry
 from repro.observability.tracing import Tracer
-from repro.ordering.adaptive import AdaptiveOrderer
-from repro.ordering.anyk import AnyKOrderer
-from repro.ordering.bruteforce import ExhaustiveOrderer, PIOrderer
-from repro.ordering.greedy import GreedyOrderer
-from repro.ordering.idrips import IDripsOrderer
-from repro.ordering.streamer import StreamerOrderer
+from repro.ordering.registry import (
+    AUTO_ORDERER,
+    ORDERERS,
+    orderer_factory,
+    resolve_orderer_name,
+)
 from repro.resilience.manager import ResilienceManager
 from repro.resilience.measure import HealthAwareMeasure
 from repro.service.backends import ExecutionBackend
@@ -74,36 +74,9 @@ __all__ = [
     "resolve_orderer_name",
 ]
 
-#: Orderer constructors addressable over the wire.
-ORDERER_TABLE: dict[str, Callable[[UtilityMeasure], object]] = {
-    "pi": PIOrderer,
-    "exhaustive": ExhaustiveOrderer,
-    "idrips": IDripsOrderer,
-    "streamer": StreamerOrderer,
-    "greedy": GreedyOrderer,
-    "anyk": AnyKOrderer,
-}
-
-#: The measure-dependent default: requests (and configs) naming this
-#: pseudo-orderer resolve per measure via :func:`resolve_orderer_name`.
-AUTO_ORDERER = "auto"
-
-
-def resolve_orderer_name(name: str, utility: UtilityMeasure) -> str:
-    """Resolve ``"auto"`` against a measure's structural flags.
-
-    Fully monotonic measures get :class:`AnyKOrderer` — its lattice
-    mode emits the first plan without materializing the product space,
-    with a stream byte-identical to PI's (the equivalence sweeps in
-    ``tests/ordering`` are the guarantee).  Everything else keeps the
-    conservative PI default, whose interval refinement is the paper's
-    reference behavior for non-monotonic measures.  Explicit names
-    pass through untouched, so ``--default-orderer pi`` and per-request
-    ``orderer`` overrides behave exactly as before.
-    """
-    if name != AUTO_ORDERER:
-        return name
-    return "anyk" if utility.is_fully_monotonic else "pi"
+#: The orderer table the service reads factories from at request time:
+#: the same dict object as :data:`repro.ordering.registry.ORDERERS`.
+ORDERER_TABLE = ORDERERS
 
 
 #: Per-batch streaming callback (invoked from the session's thread).
@@ -341,25 +314,6 @@ class QueryService:
                 self._shared_measures[name] = measure
         return measure
 
-    def _make_orderer(
-        self, name: str, utility: UtilityMeasure, *, adaptive: bool = False
-    ):
-        name = resolve_orderer_name(name, utility)
-        try:
-            factory = ORDERER_TABLE[name]
-        except KeyError:
-            raise ServiceError(
-                f"unknown orderer {name!r}; have {sorted(ORDERER_TABLE)}"
-            ) from None
-        if adaptive and self.resilience is not None:
-            return AdaptiveOrderer(
-                utility,
-                inner_factory=factory,
-                epoch=self.resilience.epoch,
-                registry=self.registry,
-            )
-        return factory(utility)
-
     def resolve_adaptivity(
         self, policy: RequestPolicy, requested_orderer: str
     ) -> bool:
@@ -492,8 +446,10 @@ class QueryService:
         tracer = Tracer(enabled=self.config.trace_requests)
         try:
             utility = self.shared_measure(measure_name)
-            orderer = self._make_orderer(
-                orderer_name, utility, adaptive=adaptive
+            orderer = self.mediator.make_orderer(
+                utility,
+                adaptive=adaptive,
+                factory=orderer_factory(orderer_name, utility),
             )
             session = PipelinedSession(
                 self.mediator,

@@ -117,9 +117,11 @@ def random_scenario(
             except ReformulationError:
                 continue
             extension = evaluate_conjunctive_query(view, schema_facts)
+            # Sorted: set iteration order follows the string hash seed,
+            # and the draws must not.
             kept = {
                 row
-                for row in extension
+                for row in sorted(extension)
                 if rng.random() < source_completeness
             }
             source_facts[name] = kept

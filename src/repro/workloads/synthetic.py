@@ -32,15 +32,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
-from repro.errors import ReformulationError
+from repro.errors import ReformulationError, UtilityError
 from repro.datalog.query import ConjunctiveQuery
 from repro.execution.instances import product_query
 from repro.reformulation.plans import Bucket, PlanSpace
 from repro.sources.catalog import Catalog, SourceDescription
 from repro.sources.overlap import OverlapModel
 from repro.sources.statistics import SourceStats
+from repro.utility.base import UtilityMeasure
 from repro.utility.cost import BindJoinCost, LinearCost
 from repro.utility.coverage import CoverageUtility
 from repro.utility.monetary import MonetaryCostPerTuple
@@ -108,6 +109,29 @@ class SyntheticDomain:
         return MonetaryCostPerTuple(
             domain_sizes=self.domain_sizes, caching=caching
         )
+
+    def measure(self, name: str) -> UtilityMeasure:
+        """A fresh measure by its :data:`SYNTHETIC_MEASURES` name."""
+        try:
+            factory = SYNTHETIC_MEASURES[name]
+        except KeyError:
+            raise UtilityError(
+                f"unknown measure {name!r}; have {sorted(SYNTHETIC_MEASURES)}"
+            ) from None
+        return factory(self)
+
+
+#: Utility measures by name: the CLI's ``order --measure`` choices and
+#: the measures of the Figure 6 panels.
+SYNTHETIC_MEASURES: dict[str, Callable[[SyntheticDomain], UtilityMeasure]] = {
+    "coverage": SyntheticDomain.coverage,
+    "linear": SyntheticDomain.linear_cost,
+    "bind-join": SyntheticDomain.bind_join_cost,
+    "failure": SyntheticDomain.failure_cost,
+    "failure-caching": lambda domain: domain.failure_cost(caching=True),
+    "monetary": SyntheticDomain.monetary,
+    "monetary-caching": lambda domain: domain.monetary(caching=True),
+}
 
 
 def generate_domain(

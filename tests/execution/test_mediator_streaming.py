@@ -135,7 +135,3 @@ class TestReadOnlyDatabase:
         database = mediator.execution_database()
         mediator.source_facts["v1"].add(("somebody", "some_movie"))
         assert ("somebody", "some_movie") in database["v1"]
-
-    def test_historical_alias(self, movies):
-        mediator = Mediator(movies.catalog, movies.source_facts)
-        assert dict(mediator._database()) == dict(mediator.execution_database())

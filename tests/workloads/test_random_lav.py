@@ -1,7 +1,14 @@
 """Cross-validation of the three reformulation pipelines on random
 LAV scenarios (see repro.workloads.random_lav)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.workloads.random_lav import (
     certain_answers_three_ways,
@@ -15,6 +22,27 @@ class TestScenarioGeneration:
         b = random_scenario(3)
         assert str(a.query) == str(b.query)
         assert a.source_facts == b.source_facts
+
+    def test_source_facts_do_not_depend_on_the_hash_seed(self):
+        """String hashing is salted per process; the sampled source
+        instances must not follow set iteration order."""
+        script = (
+            "import hashlib\n"
+            "from repro.workloads.random_lav import random_scenario\n"
+            "facts = random_scenario(1).source_facts\n"
+            "rows = sorted((name, sorted(rows)) for name, rows in facts.items())\n"
+            "print(hashlib.sha256(repr(rows).encode()).hexdigest())\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        digests = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            digests.add(result.stdout.strip())
+        assert len(digests) == 1
 
     def test_sources_are_views_of_schema(self):
         """Every source tuple must satisfy its view over the schema

@@ -4,7 +4,7 @@ Two claims from the service design are checked with real timings:
 
 * **Pipelining never delays the first answer** — overlapping ordering
   with execution can only move the first sound batch earlier, because
-  the producer does exactly the sequential mediator's per-plan work
+  the session does exactly the sequential mediator's per-plan work
   before handing off.  We compare time-to-first-answer and allow
   generous slack for scheduler noise; the interesting failure mode
   (pipelined first answer arriving *after* the full sequential drain)

@@ -883,11 +883,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "observed source health)")
     serve.add_argument("--queue-depth", type=int, default=None,
                        help="per-request pipeline depth between ordering "
-                            "and execution; 1 keeps the producer close "
+                            "and execution; 1 keeps the orderer close "
                             "enough to execution for mid-stream re-ordering "
                             "to affect not-yet-emitted plans")
     serve.add_argument("--executor-workers", type=int, default=None,
-                       help="per-request plan-execution threads")
+                       help="plans of one request executing at once")
     serve.add_argument("--breaker-cooldown", type=float, default=None,
                        metavar="SECONDS",
                        help="with --chaos: open-breaker cooldown before a "

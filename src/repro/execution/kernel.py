@@ -12,8 +12,8 @@ three steps, and both mediator drivers call them:
   plan and answer journal events.
 
 ``Mediator.answer`` calls the steps inline, one plan at a time;
-``PipelinedSession`` calls ``decide`` on its producer thread, ``run``
-on executor workers and ``fold`` on the consumer, in rank order.  Only
+``PipelinedSession`` calls ``decide`` and ``fold`` (in rank order) on
+the thread iterating its stream and ``run`` on an executor pool.  Only
 an :class:`~repro.errors.ExecutionError` under a graceful resilience
 manager degrades into a failed batch; every other error propagates
 from ``fold``.

@@ -18,8 +18,8 @@ Consumers can stop iterating as soon as they are satisfied — the
 runs the per-plan kernel (:class:`~repro.execution.kernel.PlanKernel`:
 decide soundness, run the plan, fold its answers) in lockstep with the
 orderer.  :class:`~repro.service.session.PipelinedSession` is the
-pipelined driver of the same kernel: it runs the three steps on a
-producer thread, executor workers and the consuming thread.  Both
+pipelined driver of the same kernel: it runs ``decide`` and ``fold``
+on the consuming thread and ``run`` on an executor pool.  Both
 drivers call the stage methods exposed here (:meth:`reformulate`,
 :meth:`check_soundness`, :meth:`record_batch`; the sequential driver
 also :meth:`execute_query`) through the instance, so a per-instance

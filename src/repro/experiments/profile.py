@@ -555,8 +555,8 @@ def _adaptive_service(
     scenario, *, adaptivity: str, chaos_seed: int, chaos: bool,
     journal: Optional[EventJournal] = None,
 ) -> QueryService:
-    # queue_depth=1 / executor_workers=1 keep the producer at most a
-    # couple of plans ahead of execution, so mid-stream health signals
+    # queue_depth=1 / executor_workers=1 keep the orderer at most one
+    # plan ahead of execution, so mid-stream health signals
     # can still affect plans that were not yet emitted.  Breakers are
     # off in *both* arms: the board would skip every doomed plan after
     # its threshold in both, drowning the ordering-level effect this

@@ -206,8 +206,7 @@ class PlanOrderer(ABC):
         2. ``on_emit(plan_i)`` is called at most once, *on resumption*
            after yielding plan ``i`` and before any utility evaluation
            for plan ``i+1`` — so a consumer that decides soundness
-           between ``next()`` calls (sequentially or on a producer
-           thread) always has the answer ready;
+           between ``next()`` calls always has the answer ready;
         3. abandoning the generator (``close()``/GC) is safe at any
            point and leaves the orderer reusable for a fresh call.
 

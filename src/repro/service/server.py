@@ -15,7 +15,11 @@ One :class:`QueryService` owns a mediator (catalog + source instances
 Per request: a fresh orderer, a fresh
 :class:`~repro.service.session.PipelinedSession`, and (when request
 tracing is on) a private :class:`~repro.observability.tracing.Tracer`
-whose span tree is returned with the result.
+whose span tree is returned with the result.  A request starts no
+thread: its session orders on the calling thread and executes plans on
+the service's one executor pool of ``max_concurrent ×
+executor_workers`` threads, created as they are first needed and
+joined by :meth:`QueryService.shutdown`.
 
 Two throttles implement load-shedding:
 
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from queue import Full, Queue
 from typing import Callable, Mapping, Optional
@@ -59,7 +64,11 @@ from repro.resilience.manager import ResilienceManager
 from repro.resilience.measure import HealthAwareMeasure
 from repro.service.backends import ExecutionBackend
 from repro.service.policy import RequestPolicy
-from repro.service.session import PipelinedSession, SessionReport
+from repro.service.session import (
+    EXECUTOR_THREAD_PREFIX,
+    PipelinedSession,
+    SessionReport,
+)
 from repro.sources.catalog import Catalog
 from repro.utility.base import UtilityMeasure
 from repro.utility.cost import LinearCost
@@ -226,6 +235,11 @@ class QueryService:
         self._queue: Queue = Queue(maxsize=self.config.backlog)
         self._dispatchers: list[threading.Thread] = []
         self._started = False
+        #: Runs every session's plan executions; threads start lazily.
+        self._executor = ThreadPoolExecutor(
+            self.config.max_concurrent * self.config.executor_workers,
+            thread_name_prefix=EXECUTOR_THREAD_PREFIX,
+        )
         self._ids = itertools.count(1)
 
         counter = self.registry.counter
@@ -259,15 +273,16 @@ class QueryService:
         return self
 
     def shutdown(self, timeout: float = 5.0) -> None:
-        """Stop dispatchers after the queued work drains."""
-        if not self._started:
-            return
-        for _ in self._dispatchers:
-            self._queue.put(_SHUTDOWN)
-        for thread in self._dispatchers:
-            thread.join(timeout=timeout)
-        self._dispatchers.clear()
-        self._started = False
+        """Stop dispatchers after the queued work drains, then join the
+        executor pool; the service serves no request afterwards."""
+        if self._started:
+            for _ in self._dispatchers:
+                self._queue.put(_SHUTDOWN)
+            for thread in self._dispatchers:
+                thread.join(timeout=timeout)
+            self._dispatchers.clear()
+            self._started = False
+        self._executor.shutdown(wait=True)
 
     def __enter__(self) -> "QueryService":
         return self.start()
@@ -458,6 +473,7 @@ class QueryService:
                 backend=self.backend,
                 tracer=tracer,
                 registry=self.registry,
+                executor=self._executor,
             )
             batches: list[AnswerBatch] = []
             answers: set = set()

@@ -6,48 +6,51 @@ paper's Section 2 motivation is the opposite — *"the mediator should
 begin executing the best plan while the ordering algorithm computes
 the next ones"*.  :class:`PipelinedSession` realizes that by running
 the steps of the per-plan kernel
-(:class:`~repro.execution.kernel.PlanKernel`) on different threads:
+(:class:`~repro.execution.kernel.PlanKernel`) on two sides of an
+executor, and starts no thread of its own:
 
-* a **producer thread** drives the plan orderer and the kernel's
-  ``decide`` step (soundness), feeding a bounded queue of outcomes
-  (backpressure keeps the orderer at most ``queue_depth`` plans ahead
-  of execution);
-* a pool of **executor workers** runs the kernel's ``run`` step
-  (breaker admission, execution with retries) over a read-only view
-  of the source instances;
-* the **consumer** (the thread iterating :meth:`stream`) reassembles
-  outcomes into emission order and runs the kernel's ``fold`` step —
-  so the batch stream is *identical*, plan for plan and byte for
-  byte, to the sequential mediator's, which calls the same three
-  steps inline.
+* the **calling thread** (the one iterating :meth:`stream`) drives the
+  plan orderer and the kernel's ``decide`` step (soundness), keeping
+  at most ``queue_depth`` plans decided but not yet folded;
+* an **executor** — the pool its :class:`~repro.service.server.QueryService`
+  owns, or a private one — runs the kernel's ``run`` step (breaker
+  admission, execution with retries) over a read-only view of the
+  source instances, at most ``executor_workers`` plans of one request
+  at a time;
+* back on the calling thread, finished plans are folded (the kernel's
+  ``fold`` step) in rank order — so the batch stream is *identical*,
+  plan for plan and byte for byte, to the sequential mediator's,
+  which calls the same three steps inline.
 
 Why the ordering survives the concurrency: ``decide`` for plan ``i``
-runs in the producer thread immediately after the orderer yields it,
-*before* the generator is resumed — exactly when the sequential
-mediator runs it.  The orderers' ``on_emit`` callback (asked on
-resumption) therefore sees the same answers in the same order, and
-the emitted plan sequence cannot diverge.  Execution results never
-influence the ordering, only their soundness bits do, so running
-executions out of order is unobservable after the consumer's
-reordering.
+runs immediately after the orderer yields it, *before* the generator
+is resumed — exactly when the sequential mediator runs it.  The
+orderers' ``on_emit`` callback (asked on resumption) therefore sees
+the same answers in the same order, and the emitted plan sequence
+cannot diverge.  Execution results never influence the ordering, only
+their soundness bits do, so running executions out of order is
+unobservable after folding in rank order.
 
-This module owns only the scheduling: threads, the queue, reordering
-by rank, the deadline and cancellation.  Deadlines and cancellation
-are cooperative and clean: on expiry the session stops pulling plans,
-drains in-flight work, and finishes the batch stream early;
+This module owns only the scheduling: submission, reordering by rank,
+the deadline and cancellation.  Deadlines and cancellation are
+cooperative and clean: on expiry the session stops pulling plans,
+cancels the executions that have not started, waits for the ones that
+have, and finishes the batch stream early;
 :attr:`SessionReport.deadline_exceeded` is set instead of raising, so
-partial results always reach the caller.
+partial results always reach the caller.  When :meth:`stream` returns,
+no work of the request is left running.
 """
 
 from __future__ import annotations
 
 import threading
-from queue import Empty, Full, Queue
+from collections import deque
+from concurrent.futures import Executor, Future, ThreadPoolExecutor, wait
 from typing import Iterator, Optional
 
 from repro.errors import ExecutionError, InternalError
 from repro.datalog.query import ConjunctiveQuery
-from repro.execution.kernel import PlanKernel, SessionReport
+from repro.execution.kernel import PlanKernel, PlanOutcome, SessionReport
 from repro.execution.mediator import AnswerBatch, Mediator
 from repro.observability.journal import EventJournal
 from repro.observability.metrics import MetricRegistry
@@ -61,42 +64,15 @@ from repro.service.backends import ExecutionBackend, InMemoryBackend
 from repro.service.policy import RequestPolicy
 from repro.utility.base import UtilityMeasure
 
-__all__ = ["PipelinedSession", "SessionReport"]
+__all__ = ["EXECUTOR_THREAD_PREFIX", "PipelinedSession", "SessionReport"]
 
-#: Poll granularity for queue hand-offs and condition waits.  Only a
-#: liveness bound (threads notice stop/deadline at least this often);
-#: normal hand-offs are notification-driven and never wait this long.
+#: Poll granularity of the wait for executions.  Only a liveness bound
+#: (cancellation is noticed at least this often); completions and the
+#: deadline wake the waiting thread directly.
 _TICK_S = 0.05
 
-_DONE = object()
-#: Published in place of an outcome whose plan hit the deadline or a
-#: cancellation before it could run.
-_DROPPED = object()
-
-
-class _SessionRun:
-    """Shared state of one in-flight pipelined request."""
-
-    def __init__(self) -> None:
-        self.cond = threading.Condition()
-        self.results: dict[int, object] = {}
-        self.stop = threading.Event()
-        self.produced: Optional[int] = None  # total plans, once known
-        self.producer_complete = False  # budget drained (not aborted)
-        self.producer_error: Optional[BaseException] = None
-
-    def publish(self, rank: int, result: object) -> None:
-        with self.cond:
-            self.results[rank] = result
-            self.cond.notify_all()
-
-    def finish_producing(self, produced: int, complete: bool,
-                         error: Optional[BaseException]) -> None:
-        with self.cond:
-            self.produced = produced
-            self.producer_complete = complete
-            self.producer_error = error
-            self.cond.notify_all()
+#: Name prefix of executor threads, the service's and private ones.
+EXECUTOR_THREAD_PREFIX = "repro-service-exec"
 
 
 class PipelinedSession:
@@ -104,7 +80,10 @@ class PipelinedSession:
 
     One session instance serves one request at a time (the service
     layer creates a session per admitted request); the mediator,
-    registry, and backend it wraps may be shared freely.
+    registry, backend and *executor* it wraps may be shared freely.
+    Without an *executor*, each :meth:`stream` runs its plans on a
+    private pool of ``executor_workers`` threads and joins it before
+    returning.
     """
 
     def __init__(
@@ -119,6 +98,7 @@ class PipelinedSession:
         registry: Optional[MetricRegistry] = None,
         resilience: Optional[ResilienceManager] = None,
         journal: Optional[EventJournal] = None,
+        executor: Optional[Executor] = None,
     ) -> None:
         if executor_workers < 1:
             raise ExecutionError("executor_workers must be at least 1")
@@ -135,6 +115,7 @@ class PipelinedSession:
         self.resilience = (
             resilience if resilience is not None else mediator.resilience
         )
+        self.executor = executor
         self.last_report: Optional[SessionReport] = None
         self._plans_pipelined = self.registry.counter("service.plans_pipelined")
         self._retries = self.registry.counter("service.retries")
@@ -155,19 +136,19 @@ class PipelinedSession:
         """Yield answer batches in emission order, pipelined.
 
         Semantically equivalent to ``Mediator.answer`` (same plans,
-        same order, same batches) with ordering, soundness, and
-        execution overlapped across threads.  After the generator
-        finishes (or is closed early), :attr:`last_report` describes
-        the run.  ``request_id`` correlates this run's journal events
-        (emitted from the producer, executor, and consumer threads —
-        the journal serializes them with one global ``seq``).
+        same order, same batches) with execution overlapped with
+        ordering and soundness.  After the generator finishes (or is
+        closed early), :attr:`last_report` describes the run.
+        ``request_id`` correlates this run's journal events (emitted
+        from the calling thread and the executor threads — the journal
+        serializes them with one global ``seq``).
 
         ``adaptive`` (ignored when *orderer* is supplied) wraps the
         mediator's orderer factory in the health-epoch-watching
         :class:`~repro.ordering.adaptive.AdaptiveOrderer`.  The epoch
-        is bumped by executor workers (and any concurrent session)
+        is bumped by executions (of this and any concurrent session)
         recording outcomes into the shared resilience manager; the
-        producer thread notices at its next resumption — between two
+        orderer notices at its next resumption — between two
         ``on_emit`` exchanges, which is exactly where the lazy-orderer
         contract allows re-planning.
         """
@@ -175,15 +156,15 @@ class PipelinedSession:
         policy = policy if policy is not None else self.policy
         deadline = policy.start_deadline()
         token = policy.token()
-        run = _SessionRun()
+        stop = threading.Event()
 
         def aborted() -> bool:
-            return run.stop.is_set() or token.cancelled or deadline.expired
+            return stop.is_set() or token.cancelled or deadline.expired
 
         def backoff(delay: float) -> None:
-            # Sleep on the stop event so shutdown and cancellation cut
-            # the backoff short.
-            run.stop.wait(deadline.clamp(delay))
+            # Sleep on the stop event so the end of the stream cuts the
+            # backoff short.
+            stop.wait(deadline.clamp(delay))
 
         kernel = PlanKernel(
             mediator, query, self.journal, self.resilience,
@@ -197,150 +178,115 @@ class PipelinedSession:
         if orderer is None:
             orderer = mediator.make_orderer(utility, adaptive=adaptive)
         budget = mediator.resolve_budget(space, policy.max_plans)
-        work_q: Queue = Queue(maxsize=self.queue_depth)
         database = mediator.execution_database()
+        backend = self.backend
 
-        def put_abortable(item) -> bool:
-            """Enqueue unless the session is shutting down."""
-            while not run.stop.is_set():
-                try:
-                    work_q.put(item, timeout=_TICK_S)
-                    return True
-                except Full:
-                    continue
-            return False
+        def execute(executable: ConjunctiveQuery) -> frozenset:
+            return backend.execute(executable, database)
 
-        def produce() -> None:
-            produced = 0
-            complete = False
-            error: Optional[BaseException] = None
-            try:
-                plans = orderer.order(space, budget, on_emit=kernel.on_emit)
-                for ordered in plans:
-                    if aborted():
-                        break
-                    produced += 1
-                    if not put_abortable(kernel.decide(ordered)):
-                        produced -= 1
-                        break
-                else:
-                    complete = True
-            except BaseException as exc:  # surfaced on the consumer
-                error = exc
-            finally:
-                run.finish_producing(produced, complete, error)
-                for _ in range(self.executor_workers):
-                    if not put_abortable(_DONE):
-                        break
+        def job(outcome: PlanOutcome) -> bool:
+            """Run one plan; False if the request ended before it started."""
+            if aborted():
+                return False
+            kernel.run(outcome, execute)
+            return True
 
-        def work(tracer: Tracer) -> None:
-            def execute(executable: ConjunctiveQuery) -> frozenset:
-                with tracer.span("service.worker.execute"):
-                    return self.backend.execute(executable, database)
+        done = threading.Condition()
+        finished = 0  # submitted jobs that have completed
 
-            while True:
-                try:
-                    outcome = work_q.get(timeout=_TICK_S)
-                except Empty:
-                    if run.stop.is_set():
-                        return
-                    continue
-                if outcome is _DONE:
-                    return
-                rank = outcome.ordered.rank
-                if token.cancelled or deadline.expired:
-                    run.publish(rank, _DROPPED)
-                    continue
-                kernel.run(outcome, execute)
-                run.publish(rank, outcome)
+        def on_done(_future: Future) -> None:
+            nonlocal finished
+            with done:
+                finished += 1
+                done.notify()
 
-        producer = threading.Thread(
-            target=produce, name="repro-service-producer", daemon=True
-        )
-        # Tracers are single-threaded recorders, so every worker gets a
-        # private one; the consumer folds them into the session tracer
-        # after the workers have quiesced (see the ``finally`` below).
-        worker_tracers = [
-            Tracer(enabled=self.tracer.enabled)
-            for _ in range(self.executor_workers)
-        ]
-        workers = [
-            threading.Thread(
-                target=work,
-                args=(worker_tracers[i],),
-                name=f"repro-service-exec-{i}",
-                daemon=True,
+        executor = self.executor
+        private = executor is None
+        if private:
+            executor = ThreadPoolExecutor(
+                self.executor_workers, thread_name_prefix=EXECUTOR_THREAD_PREFIX
             )
-            for i in range(self.executor_workers)
-        ]
-
-        next_rank = 1
+        plans = orderer.order(space, budget, on_emit=kernel.on_emit)
+        pending: deque[PlanOutcome] = deque()  # decided, not folded; by rank
+        waiting: deque[PlanOutcome] = deque()  # sound, not yet submitted
+        futures: dict[int, Future] = {}  # submitted, not folded; by rank
+        submitted = 0
+        more = True  # the orderer may yield further plans
+        order_error: Optional[Exception] = None
         with kernel.adopt(orderer, self.tracer):
-            # The producer thread owns the orderer for the whole run,
-            # so its spans nest under this request's trace safely.
             try:
-                producer.start()
-                for worker in workers:
-                    worker.start()
                 while True:
-                    with run.cond:
-                        while True:
-                            if next_rank in run.results:
-                                item = run.results.pop(next_rank)
-                                break
-                            if run.produced is not None and next_rank > run.produced:
-                                item = None
-                                break
-                            if token.cancelled or deadline.expired:
-                                item = None
-                                break
-                            run.cond.wait(timeout=_TICK_S)
-                    if item is None or item is _DROPPED:
-                        if item is None and run.producer_error is not None:
-                            raise run.producer_error
-                        drained = run.producer_complete and next_rank > run.produced
-                        if item is None and drained:
-                            report.exhausted = True
-                        elif token.cancelled:
-                            report.cancelled = True
-                        else:
-                            # The deadline, possibly observed only by
-                            # the producer or a worker.
-                            report.deadline_exceeded = True
-                        return
-                    batch = kernel.fold(item)
-                    with self.registry.lock:
-                        self._plans_pipelined.inc()
-                        self._retries.inc(item.retries)
-                        if item.execute_s:
-                            self._execute_hist.observe(item.execute_s)
-                    yield batch
-                    next_rank += 1
-                    if (
-                        policy.first_k_answers is not None
-                        and report.answers >= policy.first_k_answers
+                    # Read before the readiness checks: a completion
+                    # missed by them has bumped ``finished`` already.
+                    seen = finished
+                    head = pending[0] if pending else None
+                    future = None if head is None else futures.get(head.ordered.rank)
+                    # A job that found the token cancelled or the deadline
+                    # passed ran nothing (result False); the checks below
+                    # then end the stream.
+                    if head is not None and (
+                        head.executable is None
+                        or (future is not None and future.done() and future.result())
                     ):
-                        report.satisfied = True
+                        pending.popleft()
+                        futures.pop(head.ordered.rank, None)
+                        batch = kernel.fold(head)
+                        with self.registry.lock:
+                            self._plans_pipelined.inc()
+                            self._retries.inc(head.retries)
+                            if head.execute_s:
+                                self._execute_hist.observe(head.execute_s)
+                        yield batch
+                        if (
+                            policy.first_k_answers is not None
+                            and report.answers >= policy.first_k_answers
+                        ):
+                            report.satisfied = True
+                            return
+                        continue
+                    if token.cancelled:
+                        report.cancelled = True
                         return
+                    if deadline.expired:
+                        report.deadline_exceeded = True
+                        return
+                    while waiting and submitted - finished < self.executor_workers:
+                        outcome = waiting.popleft()
+                        future = executor.submit(job, outcome)
+                        future.add_done_callback(on_done)
+                        futures[outcome.ordered.rank] = future
+                        submitted += 1
+                    if more and len(pending) < self.queue_depth:
+                        try:
+                            ordered = next(plans, None)
+                            if ordered is None:
+                                more = False
+                            else:
+                                outcome = kernel.decide(ordered)
+                                pending.append(outcome)
+                                if outcome.executable is not None:
+                                    waiting.append(outcome)
+                        except Exception as exc:
+                            # Raised once the plans before it are folded,
+                            # as the sequential mediator would.
+                            order_error = exc
+                            more = False
+                        continue
+                    if not pending:
+                        if order_error is not None:
+                            raise order_error
+                        report.exhausted = True
+                        return
+                    with done:
+                        if finished == seen:
+                            done.wait(deadline.clamp(_TICK_S))
             finally:
-                run.stop.set()
-                # Unblock a producer stuck on a full queue, then collect
-                # the threads; daemon flags are only a last resort.
-                while producer.is_alive():
-                    try:
-                        while True:
-                            work_q.get_nowait()
-                    except Empty:
-                        pass
-                    producer.join(timeout=_TICK_S)
-                for worker in workers:
-                    worker.join(timeout=5 * _TICK_S)
-                if self.tracer.enabled:
-                    # Workers have quiesced; their private spans fold into
-                    # the session tracer so ``--trace`` reports see them.
-                    for worker_tracer in worker_tracers:
-                        if len(worker_tracer):
-                            self.tracer.merge(worker_tracer)
+                stop.set()
+                # A cancelled job never starts; the others have started
+                # (and see ``stop``) or finished.
+                wait([f for f in futures.values() if not f.cancel()])
+                if private:
+                    executor.shutdown(wait=True)
                 if self.resilience is not None:
                     report.breaker_states = self.resilience.breaker_states()
                 report.elapsed_s = kernel.watch.stop()

@@ -137,7 +137,7 @@ class TestProtocolKnob:
 
 class TestFeedbackLoopEndToEnd:
     def test_flapping_chaos_triggers_a_journaled_reorder(self, movies):
-        # queue_depth=1 keeps the producer at most one plan ahead of
+        # queue_depth=1 keeps the orderer at most one plan ahead of
         # execution, so failures land while the stream is still being
         # ordered; the short cooldown lets breakers half-open between
         # requests, driving the demote-and-repromote cycle.

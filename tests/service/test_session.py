@@ -50,7 +50,7 @@ class TestEquivalenceWithSequentialMediator:
 
     def test_greedy_orderer_with_on_emit_feedback(self, movies):
         """Greedy consults on_emit (conditional utility) — the sharpest
-        check that the producer answers soundness before resumption."""
+        check that the session answers soundness before resumption."""
         utility = LinearCost()
         sequential = Mediator(movies.catalog, movies.source_facts)
         expected = [
